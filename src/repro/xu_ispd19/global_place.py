@@ -57,6 +57,13 @@ class XuParams:
             raise ValueError("utilization must be in (0, 1]")
         if self.stages < 1 or self.cg_iterations < 1:
             raise ValueError("stages and cg_iterations must be positive")
+        if self.bins < 1:
+            raise ValueError(f"bins must be >= 1, got {self.bins}")
+        for name in ("gamma_scale", "lambda_init_ratio", "lambda_mult"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)}"
+                )
 
 
 class XuGlobalPlacer:
